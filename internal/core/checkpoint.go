@@ -188,13 +188,6 @@ func (s *Sim) fingerprint() uint64 {
 // attached Observer is not part of the state; re-attach one after
 // Resume.
 func (s *Sim) Checkpoint(wr io.Writer) error {
-	if s.universe < 0 {
-		return fmt.Errorf("core: uncompacted simulator does not support checkpointing")
-	}
-	storeSaver, ok := s.store.(snap.Saver)
-	if !ok {
-		return fmt.Errorf("core: store %T does not support checkpointing", s.store)
-	}
 	arbSaver, ok := s.arb.(snap.Saver)
 	if !ok {
 		return fmt.Errorf("core: arbiter %T does not support checkpointing", s.arb)
@@ -249,7 +242,7 @@ func (s *Sim) Checkpoint(wr io.Writer) error {
 	}
 
 	w.Tag(tagStore)
-	storeSaver.SaveState(w)
+	s.store.SaveState(w)
 
 	w.Tag(tagArbiter)
 	arbSaver.SaveState(w)
@@ -410,11 +403,7 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 	s.arb.UpdatePriorities(s.pri)
 
 	r.Tag(tagStore, "hbm store")
-	store, ok := s.store.(snap.Loader)
-	if !ok {
-		return fmt.Errorf("core: store %T does not support checkpointing", s.store)
-	}
-	store.LoadState(r)
+	s.store.LoadState(r)
 
 	r.Tag(tagArbiter, "arbiter queue")
 	arb, ok := s.arb.(snap.Loader)

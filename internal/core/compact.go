@@ -12,7 +12,7 @@ import "hbmsim/internal/model"
 // front; renaming page identities cannot change any identity-based
 // policy decision, so the compacted simulation is bit-identical to the
 // sparse one (the direct-mapped store additionally hashes the *original*
-// ID per page, see hbm.NewDenseDirectMapped).
+// ID per page, see hbm.NewDirectMapped).
 //
 // It returns the per-core dense traces, the reverse table origOf
 // (origOf[dense] = original PageID) for the Observer/Result boundary,

@@ -151,7 +151,7 @@ func TestCompactTracesProperties(t *testing.T) {
 }
 
 // event materialises one observer callback for exact differential
-// comparison between the compacted and uncompacted simulators.
+// comparison of two event streams.
 type event struct {
 	kind        string
 	core        model.CoreID
@@ -188,11 +188,15 @@ func (l *eventLog) OnTickEnd(t model.Tick, depth, busy int) {
 
 // TestCompactedEventStreamEquivalence is the compaction property test:
 // for every replacement policy (including offline Belady), both store
-// organisations, and every arbiter, a random sparse workload must
-// produce a bit-identical Result AND a bit-identical observer event
-// stream — same eviction sequence, same ticks, same original page IDs —
-// whether the simulator compacts the IDs (New) or runs the retained
-// map-based stores on the raw IDs (newUncompacted).
+// organisations, and every arbiter, a random sparse workload — half the
+// rounds with IDs past compactTraces' lookup-table threshold, forcing
+// its map fallback — must give New the Result of RunReference, which
+// runs its own stores on the raw IDs. Associative cells also pin the
+// observer event stream: New on a copy of the traces relabelled to dense
+// first-appearance IDs (compaction's identity fast path) must emit the
+// same events, once its page IDs are mapped back to the originals —
+// same eviction sequence, same ticks. Direct-mapped cells hash the
+// original IDs, so relabelling would change their slots.
 func TestCompactedEventStreamEquivalence(t *testing.T) {
 	policies := append(replacement.Kinds(), replacement.Belady)
 	rng := rand.New(rand.NewSource(17))
@@ -221,9 +225,9 @@ func TestCompactedEventStreamEquivalence(t *testing.T) {
 							MaxTicks:     200000,
 						}
 
-						run := func(mk func(Config, [][]model.PageID) (*Sim, error)) (*Result, []event) {
+						run := func(traces [][]model.PageID) (*Result, []event) {
 							t.Helper()
-							s, err := mk(cfg, traces)
+							s, err := New(cfg, traces)
 							if err != nil {
 								t.Fatalf("round %d: %v", round, err)
 							}
@@ -233,19 +237,31 @@ func TestCompactedEventStreamEquivalence(t *testing.T) {
 							}
 							return s.Result(), log.events
 						}
-						cRes, cEvents := run(New)
-						uRes, uEvents := run(newUncompacted)
-
-						if !reflect.DeepEqual(cRes, uRes) {
-							t.Fatalf("round %d: Results diverge:\ncompacted:   %+v\nuncompacted: %+v", round, cRes, uRes)
+						cRes, cEvents := run(traces)
+						ref, err := RunReference(cfg, traces)
+						if err != nil && !cRes.Truncated {
+							t.Fatalf("round %d: reference: %v", round, err)
 						}
-						if len(cEvents) != len(uEvents) {
-							t.Fatalf("round %d: event counts diverge: %d vs %d", round, len(cEvents), len(uEvents))
+						if !reflect.DeepEqual(cRes, ref) {
+							t.Fatalf("round %d: Results diverge:\ncompacted: %+v\nreference: %+v", round, cRes, ref)
+						}
+						if mapping == MappingDirect {
+							continue
+						}
+
+						relabelled, orig := relabelDense(traces)
+						_, rEvents := run(relabelled)
+						if len(cEvents) != len(rEvents) {
+							t.Fatalf("round %d: event counts diverge: %d vs %d", round, len(cEvents), len(rEvents))
 						}
 						for i := range cEvents {
-							if cEvents[i] != uEvents[i] {
-								t.Fatalf("round %d: event %d diverges:\ncompacted:   %+v\nuncompacted: %+v",
-									round, i, cEvents[i], uEvents[i])
+							ev := rEvents[i]
+							if ev.kind != "remap" && ev.kind != "tick" {
+								ev.page = orig[ev.page]
+							}
+							if cEvents[i] != ev {
+								t.Fatalf("round %d: event %d diverges:\ncompacted:  %+v\nrelabelled: %+v",
+									round, i, cEvents[i], ev)
 							}
 						}
 					}
@@ -253,6 +269,28 @@ func TestCompactedEventStreamEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// relabelDense renumbers a workload's pages to 0, 1, 2, ... in
+// first-appearance order and returns the relabelled copy with the table
+// back to the original IDs.
+func relabelDense(traces [][]model.PageID) ([][]model.PageID, []model.PageID) {
+	ids := map[model.PageID]model.PageID{}
+	var orig []model.PageID
+	out := make([][]model.PageID, len(traces))
+	for i, tr := range traces {
+		out[i] = make([]model.PageID, len(tr))
+		for j, p := range tr {
+			id, ok := ids[p]
+			if !ok {
+				id = model.PageID(len(orig))
+				ids[p] = id
+				orig = append(orig, p)
+			}
+			out[i][j] = id
+		}
+	}
+	return out, orig
 }
 
 var _ Observer = (*eventLog)(nil)

@@ -79,21 +79,17 @@ type Sim struct {
 	// original PageIDs at the Observer boundary (origOf[dense] = original).
 	// nil when the workload was already dense, so no translation is needed.
 	origOf []model.PageID
-	// universe is the dense page-ID universe size U from compaction; -1
-	// for the uncompacted differential-test path (which does not support
-	// checkpointing or fast-forwarding).
+	// universe is the dense page-ID universe size U from compaction.
 	universe int
 
 	// Fast-forward state (see Step). noFF disables the batched path: set
-	// for uncompacted simulators, and by differential tests that pin the
-	// batched stepper against the plain one.
+	// by differential tests that pin the batched stepper against the
+	// plain one.
 	noFF bool
 	// touchNop records that store.Touch is a no-op for this configuration
 	// (direct-mapped stores, FIFO and Random replacement), so a stretch's
 	// touch replay can be skipped entirely.
 	touchNop bool
-	// batchT is the store's batched-touch entry point, asserted once.
-	batchT hbm.BatchToucher
 	// boundary is the caller's observation cadence (SetBoundary): Step
 	// never fast-forwards across a multiple of it.
 	boundary model.Tick
@@ -161,60 +157,27 @@ type Sim struct {
 // Observers always see the original PageIDs: dense IDs are translated
 // back at the event boundary, and Results carry no page IDs at all.
 func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
-	return newSim(cfg, traces, true)
-}
-
-// newUncompacted builds the simulator over the retained map-based
-// reference stores and the original sparse page IDs. It exists for the
-// differential tests that pin the dense fast path to the map-based
-// stores; production callers use New.
-func newUncompacted(cfg Config, traces [][]model.PageID) (*Sim, error) {
-	return newSim(cfg, traces, false)
-}
-
-func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(len(traces)); err != nil {
 		return nil, err
 	}
-	var origOf []model.PageID
-	universe := -1
-	if compact {
-		traces, origOf, universe = compactTraces(traces)
-	}
+	traces, origOf, universe := compactTraces(traces)
 	var store hbm.Store
 	if cfg.Mapping == MappingDirect {
-		if compact {
-			dm, err := hbm.NewDenseDirectMapped(cfg.HBMSlots, cfg.Seed+4, universe, origOf)
-			if err != nil {
-				return nil, err
-			}
-			store = dm
-		} else {
-			dm, err := hbm.NewDirectMapped(cfg.HBMSlots, cfg.Seed+4)
-			if err != nil {
-				return nil, err
-			}
-			store = dm
+		dm, err := hbm.NewDirectMapped(cfg.HBMSlots, cfg.Seed+4, universe, origOf)
+		if err != nil {
+			return nil, err
 		}
+		store = dm
 	} else {
 		var pol replacement.Policy
 		if cfg.Replacement == replacement.Belady {
 			// The clairvoyant offline baseline needs the workload's
 			// future; wire the traces through here.
-			if compact {
-				pol = replacement.NewBeladyDense(traces, universe)
-			} else {
-				pol = replacement.NewBelady(traces)
-			}
+			pol = replacement.NewBelady(traces, universe)
 		} else {
 			var err error
-			if compact {
-				pol, err = replacement.NewDense(cfg.Replacement, universe, cfg.Seed+1)
-			} else {
-				pol, err = replacement.New(cfg.Replacement, cfg.Seed+1)
-			}
-			if err != nil {
+			if pol, err = replacement.New(cfg.Replacement, universe, cfg.Seed+1); err != nil {
 				return nil, err
 			}
 		}
@@ -241,11 +204,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	// one entry per core in the active/candidate sets and at most
 	// Channels*FetchLatency grants in flight — so the steady-state tick
 	// loop performs no allocations.
-	p := len(traces)
-	u := 0
-	if universe > 0 {
-		u = universe
-	}
+	p, u := len(traces), universe
 	// Same-typed per-core arrays share one backing allocation each (the
 	// three-index caps keep a future append from clobbering the sibling);
 	// construction stays a handful of allocations even with the
@@ -312,26 +271,21 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 			s.capT += model.Tick(perMiss) * model.Tick(total+1)
 		}
 	}
-	if compact {
-		s.ownerOf = i32Buf[p:]
-		for ci, tr := range traces {
-			for _, pg := range tr {
-				s.ownerOf[pg] = int32(ci)
-			}
+	s.ownerOf = i32Buf[p:]
+	for ci, tr := range traces {
+		for _, pg := range tr {
+			s.ownerOf[pg] = int32(ci)
 		}
-		u64Buf := make([]uint64, u+p)
-		s.pageGen = u64Buf[:u:u]
-		s.scanGen = u64Buf[u:]
-		s.batchT, _ = store.(hbm.BatchToucher)
-		// Touch is a no-op exactly when no recency or clairvoyant state
-		// exists to update: direct-mapped slots, FIFO insertion order,
-		// Random's uniform victims. LRU, CLOCK, and Belady all observe
-		// touches, so their stretches replay batched Touches instead.
-		s.touchNop = cfg.Mapping == MappingDirect ||
-			cfg.Replacement == replacement.FIFO || cfg.Replacement == replacement.Random
-	} else {
-		s.noFF = true
 	}
+	u64Buf := make([]uint64, u+p)
+	s.pageGen = u64Buf[:u:u]
+	s.scanGen = u64Buf[u:]
+	// Touch is a no-op exactly when no recency or clairvoyant state
+	// exists to update: direct-mapped slots, FIFO insertion order,
+	// Random's uniform victims. LRU, CLOCK, and Belady all observe
+	// touches, so their stretches replay batched Touches instead.
+	s.touchNop = cfg.Mapping == MappingDirect ||
+		cfg.Replacement == replacement.FIFO || cfg.Replacement == replacement.Random
 	return s, nil
 }
 
@@ -701,8 +655,7 @@ func (s *Sim) hitRun(ci model.CoreID, lim int) int {
 // forcing quadratic rescans.
 func (s *Sim) invalidateScan(pg model.PageID) {
 	if s.scansLive == 0 {
-		// No core holds a live cache (also true for uncompacted
-		// simulators, which never fast-forward): nothing to stale.
+		// No core holds a live cache: nothing to stale.
 		return
 	}
 	o := s.ownerOf[pg]
@@ -781,13 +734,7 @@ func (s *Sim) fastForward(n model.Tick) {
 				}
 			}
 			s.touchBuf = buf
-			if s.batchT != nil {
-				s.batchT.TouchAll(buf)
-			} else {
-				for _, pg := range buf {
-					s.store.Touch(pg)
-				}
-			}
+			s.store.TouchAll(buf)
 		}
 	}
 
@@ -845,7 +792,7 @@ func (s *Sim) fastForward(n model.Tick) {
 
 // orig translates a dense internal page ID back to the caller's original
 // PageID at the Observer boundary; the identity when no compaction was
-// needed (or the simulator runs uncompacted for differential testing).
+// needed.
 func (s *Sim) orig(p model.PageID) model.PageID {
 	if s.origOf == nil {
 		return p

@@ -17,30 +17,15 @@ type Assoc struct {
 	misses uint64
 }
 
-// NewAssoc returns an empty fully-associative cache.
-func NewAssoc(k int, kind replacement.Kind, seed int64) (*Assoc, error) {
+// NewAssoc returns an empty fully-associative cache over the page
+// universe [0, universe). Callers with arbitrary page IDs renumber their
+// trace first (see Compact); replacement decisions depend only on page
+// identity, so the cache's hit/miss sequence does not change.
+func NewAssoc(k int, kind replacement.Kind, seed int64, universe int) (*Assoc, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("directmap: capacity must be positive, got %d", k)
 	}
-	pol, err := replacement.New(kind, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Assoc{k: k, policy: pol}, nil
-}
-
-// NewAssocDense returns an empty fully-associative cache whose
-// replacement policy indexes flat slices instead of hashing page IDs —
-// no map operations on the Access path. Callers must renumber their
-// trace into the dense range [0, universe) first (see Compact);
-// replacement decisions depend only on page identity, so the dense
-// cache's hit/miss sequence is bit-identical to NewAssoc's on the
-// original IDs.
-func NewAssocDense(k int, kind replacement.Kind, seed int64, universe int) (*Assoc, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("directmap: capacity must be positive, got %d", k)
-	}
-	pol, err := replacement.NewDense(kind, universe, seed)
+	pol, err := replacement.New(kind, universe, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func TestUniversalHashSpreads(t *testing.T) {
 }
 
 func TestAssocLRUSequence(t *testing.T) {
-	a, err := NewAssoc(2, replacement.LRU, 1)
+	a, err := NewAssoc(2, replacement.LRU, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestAssocLRUSequence(t *testing.T) {
 }
 
 func TestAssocErrors(t *testing.T) {
-	if _, err := NewAssoc(0, replacement.LRU, 1); err == nil {
+	if _, err := NewAssoc(0, replacement.LRU, 1, 4); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewAssoc(2, "bogus", 1); err == nil {
+	if _, err := NewAssoc(2, "bogus", 1, 4); err == nil {
 		t.Fatal("bad policy accepted")
 	}
 }
@@ -156,14 +156,15 @@ func TestTransformErrors(t *testing.T) {
 // TestTransformMatchesAssoc is the heart of Lemma 1: the transformed
 // program's hit/miss decisions must be *identical* to the
 // fully-associative cache it simulates, for both LRU and FIFO, on any
-// reference stream.
+// reference stream. The two are each other's oracle: they share no
+// replacement code.
 func TestTransformMatchesAssoc(t *testing.T) {
 	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(seed int64, kRaw uint8, ops []uint16) bool {
 				k := int(kRaw%16) + 1
-				assoc, err := NewAssoc(k, kind, seed)
+				assoc, err := NewAssoc(k, kind, seed, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,13 +258,12 @@ func TestTransformFIFOOrder(t *testing.T) {
 	}
 }
 
-// TestAssocDenseMatchesSparse drives the dense fully-associative cache
-// over a compacted trace and the map-based one over the original sparse
-// trace; the per-access hit/miss sequences must be identical, because
-// replacement decisions depend only on page identity and Compact is a
-// bijection.
+// TestAssocDenseMatchesSparse drives the associative cache over a
+// compacted trace and the transform over the original sparse trace; the
+// per-access hit/miss sequences must be identical, because replacement
+// decisions depend only on page identity and Compact is a bijection.
 func TestAssocDenseMatchesSparse(t *testing.T) {
-	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO, replacement.Clock} {
+	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO} {
 		rng := rand.New(rand.NewSource(21))
 		tr := make([]model.PageID, 4000)
 		for i := range tr {
@@ -273,22 +273,22 @@ func TestAssocDenseMatchesSparse(t *testing.T) {
 		if universe != 64 {
 			t.Fatalf("Compact universe = %d, want 64", universe)
 		}
-		sparse, err := NewAssoc(16, kind, 7)
+		xform, err := NewTransform(16, kind, 4, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dn, err := NewAssocDense(16, kind, 7, universe)
+		dn, err := NewAssoc(16, kind, 7, universe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range tr {
-			if sparse.Access(p) != dn.Access(dense[i]) {
+			if xform.Access(p) != dn.Access(dense[i]) {
 				t.Fatalf("%s: access %d: hit/miss diverges", kind, i)
 			}
 		}
-		if sparse.Hits() != dn.Hits() || sparse.Misses() != dn.Misses() {
+		if st := xform.Stats(); st.Hits != dn.Hits() || st.Misses != dn.Misses() {
 			t.Fatalf("%s: totals diverge: (%d,%d) vs (%d,%d)",
-				kind, sparse.Hits(), sparse.Misses(), dn.Hits(), dn.Misses())
+				kind, st.Hits, st.Misses, dn.Hits(), dn.Misses())
 		}
 	}
 }

@@ -39,7 +39,7 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 
 	var worstAccessesPerOp, worstMissRatio float64
 	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO} {
-		assoc, err := directmap.NewAssocDense(k, kind, o.Seed+1, uniq)
+		assoc, err := directmap.NewAssoc(k, kind, o.Seed+1, uniq)
 		if err != nil {
 			return nil, err
 		}

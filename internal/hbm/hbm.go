@@ -11,6 +11,10 @@
 //     assigns it, as in real KNL/Sapphire-Rapids cache-mode HBM; inserting
 //     a page displaces the slot's occupant. Corollary 1 shows this costs
 //     only constants, which the "mapping" experiment verifies.
+//
+// Both index pages of a universe compacted to the dense range [0, U)
+// (internal/core compacts each workload first), so residency lives in
+// flat slices and the tick path performs no map lookups.
 package hbm
 
 import (
@@ -18,20 +22,22 @@ import (
 
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
+	"hbmsim/internal/snap"
 )
 
 // Store is the simulator's view of the HBM. Implementations are not safe
-// for concurrent use.
+// for concurrent use. Pages are the simulator's compacted IDs, in the
+// universe the store was built for.
 type Store interface {
-	// Capacity returns k, the number of slots.
-	Capacity() int
-	// Len returns the number of resident pages.
-	Len() int
 	// Contains reports whether the page is resident.
 	Contains(page model.PageID) bool
 	// Touch records an access to a resident page (refreshing it for
 	// recency-based policies). Touching a non-resident page is a no-op.
 	Touch(page model.PageID)
+	// TouchAll must be behaviourally identical to touching each page in
+	// order; the simulator's fast-forward path uses it to replay a
+	// contention-free stretch's recency updates in one call.
+	TouchAll(pages []model.PageID)
 	// EnsureRoom prepares the store to accept n incoming pages, evicting
 	// as needed, and returns the pages evicted. Associative stores evict
 	// max(0, n - free) victims by the replacement policy (the model's
@@ -49,16 +55,10 @@ type Store interface {
 	// stores never displace — callers must EnsureRoom first, and an
 	// insert into a full associative store is an error.
 	Insert(page model.PageID) (displaced model.PageID, wasDisplaced bool, err error)
-	// Kind describes the organisation for reports.
-	Kind() string
-}
-
-// BatchToucher is an optional Store capability: TouchAll(pages) must be
-// behaviourally identical to touching each page in order. All four store
-// implementations provide it; the simulator's fast-forward path uses it
-// to replay a contention-free stretch's recency updates in one call.
-type BatchToucher interface {
-	TouchAll(pages []model.PageID)
+	// SaveState and LoadState checkpoint the residency (see state.go); a
+	// store with deferred restore work also implements snap.Finisher.
+	snap.Saver
+	snap.Loader
 }
 
 // Assoc is the fully-associative store.
@@ -66,11 +66,6 @@ type Assoc struct {
 	capacity int
 	policy   replacement.Policy
 	scratch  []model.PageID
-
-	// batch caches the policy's BatchToucher assertion (nil when the
-	// policy has none); checked lazily on the first TouchAll.
-	batch        replacement.BatchToucher
-	batchChecked bool
 }
 
 // NewAssoc returns an empty fully-associative store with capacity k slots.
@@ -87,12 +82,6 @@ func NewAssoc(k int, policy replacement.Policy) (*Assoc, error) {
 	return &Assoc{capacity: k, policy: policy}, nil
 }
 
-// Capacity returns k.
-func (s *Assoc) Capacity() int { return s.capacity }
-
-// Len returns the number of resident pages.
-func (s *Assoc) Len() int { return s.policy.Len() }
-
 // Free returns the number of empty slots.
 func (s *Assoc) Free() int { return s.capacity - s.policy.Len() }
 
@@ -102,22 +91,9 @@ func (s *Assoc) Contains(page model.PageID) bool { return s.policy.Contains(page
 // Touch refreshes a resident page.
 func (s *Assoc) Touch(page model.PageID) { s.policy.Touch(page) }
 
-// TouchAll refreshes the pages in order, delegating to the policy's
-// batched entry point when it has one (all dense policies do) and
-// falling back to a Touch loop otherwise.
-func (s *Assoc) TouchAll(pages []model.PageID) {
-	if !s.batchChecked {
-		s.batch, _ = s.policy.(replacement.BatchToucher)
-		s.batchChecked = true
-	}
-	if s.batch != nil {
-		s.batch.TouchAll(pages)
-		return
-	}
-	for _, p := range pages {
-		s.policy.Touch(p)
-	}
-}
+// TouchAll refreshes the pages in order through the policy's batched
+// entry point.
+func (s *Assoc) TouchAll(pages []model.PageID) { s.policy.TouchAll(pages) }
 
 // EnsureRoom evicts max(0, n - free) victims chosen by the replacement
 // policy and returns them. The returned slice aliases the store's
@@ -146,23 +122,3 @@ func (s *Assoc) Insert(page model.PageID) (model.PageID, bool, error) {
 	s.policy.Insert(page)
 	return 0, false, nil
 }
-
-// Evict removes and returns the replacement policy's victim; ok is false
-// when the store is empty.
-func (s *Assoc) Evict() (model.PageID, bool) { return s.policy.Evict() }
-
-// Remove invalidates a specific resident page, reporting whether it was
-// resident.
-func (s *Assoc) Remove(page model.PageID) bool {
-	if !s.policy.Contains(page) {
-		return false
-	}
-	s.policy.Remove(page)
-	return true
-}
-
-// PolicyKind returns the kind of the underlying replacement policy.
-func (s *Assoc) PolicyKind() replacement.Kind { return s.policy.Kind() }
-
-// Kind describes the organisation.
-func (s *Assoc) Kind() string { return fmt.Sprintf("associative/%s", s.policy.Kind()) }

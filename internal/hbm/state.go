@@ -1,36 +1,17 @@
 package hbm
 
-import (
-	"fmt"
-
-	"hbmsim/internal/snap"
-)
+import "hbmsim/internal/snap"
 
 // Checkpoint support. Assoc delegates to its replacement policy (the
-// policy's residency set IS the store's residency set); DenseDirectMapped
-// serialises its occupied slots. The sparse map-based DirectMapped store
-// deliberately has no checkpoint support — it only backs the uncompacted
-// differential-test path.
+// policy's residency set IS the store's residency set); DirectMapped
+// serialises its occupied slots.
 
-// SaveState implements snap.Saver when the underlying policy does;
-// otherwise it latches a descriptive error into the writer.
-func (s *Assoc) SaveState(w *snap.Writer) {
-	sv, ok := s.policy.(snap.Saver)
-	if !ok {
-		w.Fail(fmt.Errorf("hbm: replacement policy %T does not support checkpointing", s.policy))
-		return
-	}
-	sv.SaveState(w)
-}
+// SaveState implements snap.Saver.
+func (s *Assoc) SaveState(w *snap.Writer) { s.policy.SaveState(w) }
 
 // LoadState implements snap.Loader.
 func (s *Assoc) LoadState(r *snap.Reader) {
-	ld, ok := s.policy.(snap.Loader)
-	if !ok {
-		r.Failf("hbm: replacement policy %T does not support checkpointing", s.policy)
-		return
-	}
-	ld.LoadState(r)
+	s.policy.LoadState(r)
 	if r.Err() == nil && s.policy.Len() > s.capacity {
 		r.Failf("hbm: snapshot holds %d resident pages for capacity %d", s.policy.Len(), s.capacity)
 	}
@@ -47,7 +28,7 @@ func (s *Assoc) FinishLoad() error {
 
 // SaveState implements snap.Saver: the occupied (slot, page) pairs in
 // slot order.
-func (s *DenseDirectMapped) SaveState(w *snap.Writer) {
+func (s *DirectMapped) SaveState(w *snap.Writer) {
 	w.Int(s.n)
 	for i, pg := range s.slots {
 		if pg >= 0 {
@@ -60,7 +41,7 @@ func (s *DenseDirectMapped) SaveState(w *snap.Writer) {
 // LoadState implements snap.Loader. Each pair is validated against the
 // precomputed slot hash — a page can only be resident in its own slot —
 // so a corrupt snapshot cannot fabricate impossible residency.
-func (s *DenseDirectMapped) LoadState(r *snap.Reader) {
+func (s *DirectMapped) LoadState(r *snap.Reader) {
 	for i := range s.slots {
 		s.slots[i] = -1
 	}

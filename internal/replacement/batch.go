@@ -2,21 +2,6 @@ package replacement
 
 import "hbmsim/internal/model"
 
-// BatchToucher is an optional interface the dense policies implement: a
-// single TouchAll(pages) call is behaviourally identical to calling
-// Touch(p) for each page in order, but lets a policy exploit batch
-// structure. The simulator's fast-forward path uses it to replay a
-// contention-free stretch's touches in one call.
-//
-// The contract is exact: after TouchAll the policy's observable state
-// (victim order, reference bits, clairvoyant cursors) must be
-// bit-identical to the sequential Touch loop. No evictions or inserts
-// may be interleaved with the batch — the fast-forward path guarantees
-// that, because residency is static during a stretch.
-type BatchToucher interface {
-	TouchAll(pages []model.PageID)
-}
-
 // TouchAll on the LRU/FIFO list exploits that with no interleaved
 // evictions or inserts, only each page's *last* touch determines the
 // final recency order: touching a page again later re-moves it to the
@@ -25,7 +10,7 @@ type BatchToucher interface {
 // pages are relinked in forward last-occurrence order — O(batch) stamp
 // reads plus O(distinct) list surgery instead of O(batch) unlink/relink
 // pairs. FIFO (touchMoves false) returns immediately, as Touch does.
-func (l *denseList) TouchAll(pages []model.PageID) {
+func (l *listPolicy) TouchAll(pages []model.PageID) {
 	if !l.touchMoves {
 		return
 	}
@@ -64,7 +49,7 @@ func (l *denseList) TouchAll(pages []model.PageID) {
 
 // TouchAll on CLOCK sets each touched resident page's reference bit;
 // bits are idempotent, so the loop is already optimal.
-func (c *denseClock) TouchAll(pages []model.PageID) {
+func (c *clockPolicy) TouchAll(pages []model.PageID) {
 	for _, p := range pages {
 		if c.resident[p] {
 			c.ref[p] = true
@@ -73,13 +58,13 @@ func (c *denseClock) TouchAll(pages []model.PageID) {
 }
 
 // TouchAll on Random is a no-op, as Touch is.
-func (r *denseRandom) TouchAll([]model.PageID) {}
+func (r *randomPolicy) TouchAll([]model.PageID) {}
 
 // TouchAll on the clairvoyant policy replays each touch: every Touch
 // advances the owning core's stream position and the page's occurrence
 // cursor, so the calls are not collapsible — but each is O(1) amortised
 // over the occurrence list.
-func (b *denseBelady) TouchAll(pages []model.PageID) {
+func (b *beladyPolicy) TouchAll(pages []model.PageID) {
 	for _, p := range pages {
 		b.Touch(p)
 	}

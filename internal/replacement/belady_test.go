@@ -7,16 +7,28 @@ import (
 )
 
 func TestBeladyKindNotConstructibleByNew(t *testing.T) {
-	if _, err := New(Belady, 0); err == nil {
+	if _, err := New(Belady, 8, 0); err == nil {
 		t.Fatal("New(Belady) should fail: it needs the traces")
 	}
+}
+
+// newBelady builds the clairvoyant policy over the smallest universe
+// holding every page of the traces.
+func newBelady(traces [][]model.PageID) *beladyPolicy {
+	universe := 0
+	for _, tr := range traces {
+		for _, p := range tr {
+			universe = max(universe, int(p)+1)
+		}
+	}
+	return NewBelady(traces, universe).(*beladyPolicy)
 }
 
 func TestBeladyEvictsFurthestNextUse(t *testing.T) {
 	// One core: trace references page 1 soon, page 2 later, page 3 never
 	// again after its first use.
 	tr := [][]model.PageID{{1, 2, 3, 1, 2, 1}}
-	b := NewBelady(tr).(*beladyPolicy)
+	b := newBelady(tr)
 	b.Insert(1)
 	b.Touch(1) // serve position 0
 	b.Insert(2)
@@ -49,7 +61,7 @@ func TestBeladyMultiCoreDistances(t *testing.T) {
 		{10, 10},
 		{20, 21, 22, 23, 20},
 	}
-	b := NewBelady(tr).(*beladyPolicy)
+	b := newBelady(tr)
 	b.Insert(10)
 	b.Touch(10) // core 0 at position 1; next use of 10 at 1 (distance 0)
 	b.Insert(20)
@@ -62,10 +74,12 @@ func TestBeladyMultiCoreDistances(t *testing.T) {
 
 func TestBeladyReinsertAfterEviction(t *testing.T) {
 	tr := [][]model.PageID{{1, 2, 1, 2}}
-	b := NewBelady(tr).(*beladyPolicy)
+	b := newBelady(tr)
 	b.Insert(1)
 	b.Touch(1) // pos 1
-	b.Remove(1)
+	if got, ok := b.Evict(); !ok || got != 1 {
+		t.Fatalf("evict: got %d/%v, want 1", got, ok)
+	}
 	b.Insert(2)
 	b.Touch(2) // pos 2
 	// Page 1 re-enters; its cursor must skip the consumed occurrence 0
@@ -78,20 +92,17 @@ func TestBeladyReinsertAfterEviction(t *testing.T) {
 
 func TestBeladyContractBasics(t *testing.T) {
 	tr := [][]model.PageID{{1, 2, 3}}
-	b := NewBelady(tr)
-	if b.Kind() != Belady {
-		t.Fatalf("kind: %s", b.Kind())
-	}
+	b := newBelady(tr)
 	b.Insert(1)
 	b.Insert(1) // double insert tolerated
 	if b.Len() != 1 || !b.Contains(1) || b.Contains(2) {
 		t.Fatalf("basic state wrong: len=%d", b.Len())
 	}
-	b.Touch(99)  // unknown page: no-op
-	b.Remove(42) // unknown page: no-op
-	b.Remove(1)
+	if got, ok := b.Evict(); !ok || got != 1 {
+		t.Fatalf("evict: got %d/%v, want 1", got, ok)
+	}
 	if b.Len() != 0 {
-		t.Fatalf("len after remove: %d", b.Len())
+		t.Fatalf("len after evict: %d", b.Len())
 	}
 }
 
@@ -124,8 +135,8 @@ func TestBeladyNeverWorseThanLRUOnSingleCore(t *testing.T) {
 		}
 		return n
 	}
-	lru := misses(MustNew(LRU, 0))
-	min := misses(NewBelady([][]model.PageID{tr}))
+	lru := misses(mustNew(t, LRU, 0))
+	min := misses(newBelady([][]model.PageID{tr}))
 	if min > lru {
 		t.Fatalf("Belady missed more than LRU: %d vs %d", min, lru)
 	}

@@ -12,7 +12,10 @@ import (
 func benchPolicy(b *testing.B, kind Kind) {
 	b.Helper()
 	const k = 1024
-	pol := MustNew(kind, 1)
+	pol, err := New(kind, 4*k, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(2))
 	pages := make([]model.PageID, 4*k)
 	for i := range pages {
@@ -45,7 +48,7 @@ func BenchmarkBelady(b *testing.B) {
 	for i := range tr {
 		tr[i] = model.PageID(i % (4 * k))
 	}
-	pol := NewBelady([][]model.PageID{tr})
+	pol := NewBelady([][]model.PageID{tr}, 4*k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,35 +8,39 @@ import (
 	"hbmsim/internal/model"
 )
 
+// testUniverse bounds the page IDs the behavioural tests use.
+const testUniverse = 128
+
+// mustNew builds a policy over [0, testUniverse).
+func mustNew(t testing.TB, kind Kind, seed int64) Policy {
+	t.Helper()
+	p, err := New(kind, testUniverse, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewUnknownKind(t *testing.T) {
-	if _, err := New("nope", 0); err == nil {
+	if _, err := New("nope", 8, 0); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
 }
 
 func TestKindsConstructAll(t *testing.T) {
 	for _, k := range Kinds() {
-		p, err := New(k, 1)
+		p, err := New(k, 8, 1)
 		if err != nil {
 			t.Fatalf("New(%s): %v", k, err)
 		}
-		if p.Kind() != k {
-			t.Errorf("Kind(): got %s, want %s", p.Kind(), k)
+		if p.Len() != 0 {
+			t.Errorf("%s: fresh policy tracks %d pages", k, p.Len())
 		}
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew with bad kind should panic")
-		}
-	}()
-	MustNew("bogus", 0)
-}
-
 func TestLRUEvictionOrder(t *testing.T) {
-	p := MustNew(LRU, 0)
+	p := mustNew(t, LRU, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Insert(3)
@@ -53,7 +57,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUTouchUnknownIsNoop(t *testing.T) {
-	p := MustNew(LRU, 0)
+	p := mustNew(t, LRU, 0)
 	p.Insert(1)
 	p.Touch(99)
 	if got, _ := p.Evict(); got != 1 {
@@ -62,7 +66,7 @@ func TestLRUTouchUnknownIsNoop(t *testing.T) {
 }
 
 func TestLRUTouchTailIsNoop(t *testing.T) {
-	p := MustNew(LRU, 0)
+	p := mustNew(t, LRU, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Touch(2) // already MRU
@@ -72,7 +76,7 @@ func TestLRUTouchTailIsNoop(t *testing.T) {
 }
 
 func TestFIFOIgnoresTouch(t *testing.T) {
-	p := MustNew(FIFO, 0)
+	p := mustNew(t, FIFO, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Insert(3)
@@ -86,30 +90,8 @@ func TestFIFOIgnoresTouch(t *testing.T) {
 	}
 }
 
-func TestListRemove(t *testing.T) {
-	for _, kind := range []Kind{LRU, FIFO} {
-		p := MustNew(kind, 0)
-		p.Insert(1)
-		p.Insert(2)
-		p.Insert(3)
-		p.Remove(2)
-		if p.Contains(2) {
-			t.Fatalf("%s: removed page still present", kind)
-		}
-		if p.Len() != 2 {
-			t.Fatalf("%s: len after remove: %d", kind, p.Len())
-		}
-		got1, _ := p.Evict()
-		got2, _ := p.Evict()
-		if got1 != 1 || got2 != 3 {
-			t.Fatalf("%s: eviction after remove: %d, %d", kind, got1, got2)
-		}
-		p.Remove(42) // no-op
-	}
-}
-
 func TestListDoubleInsertActsAsTouch(t *testing.T) {
-	p := MustNew(LRU, 0)
+	p := mustNew(t, LRU, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Insert(1) // contract violation; treated as Touch
@@ -122,7 +104,7 @@ func TestListDoubleInsertActsAsTouch(t *testing.T) {
 }
 
 func TestClockSecondChance(t *testing.T) {
-	p := MustNew(Clock, 0)
+	p := mustNew(t, Clock, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Insert(3)
@@ -137,7 +119,7 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestClockAllReferenced(t *testing.T) {
-	p := MustNew(Clock, 0)
+	p := mustNew(t, Clock, 0)
 	for i := model.PageID(1); i <= 3; i++ {
 		p.Insert(i)
 		p.Touch(i)
@@ -152,9 +134,11 @@ func TestClockAllReferenced(t *testing.T) {
 }
 
 func TestClockRemoveHand(t *testing.T) {
-	p := MustNew(Clock, 0)
+	p := mustNew(t, Clock, 0)
 	p.Insert(1)
-	p.Remove(1)
+	if got, ok := p.Evict(); !ok || got != 1 {
+		t.Fatalf("evicting the page under the hand: got %d/%v, want 1", got, ok)
+	}
 	if p.Len() != 0 {
 		t.Fatalf("len after removing last: %d", p.Len())
 	}
@@ -169,7 +153,7 @@ func TestClockRemoveHand(t *testing.T) {
 }
 
 func TestClockDoubleInsertSetsBit(t *testing.T) {
-	p := MustNew(Clock, 0)
+	p := mustNew(t, Clock, 0)
 	p.Insert(1)
 	p.Insert(2)
 	p.Insert(1) // sets 1's reference bit
@@ -182,7 +166,7 @@ func TestClockDoubleInsertSetsBit(t *testing.T) {
 }
 
 func TestRandomEvictsEverything(t *testing.T) {
-	p := MustNew(Random, 7)
+	p := mustNew(t, Random, 7)
 	const n = 100
 	for i := model.PageID(0); i < n; i++ {
 		p.Insert(i)
@@ -205,7 +189,7 @@ func TestRandomEvictsEverything(t *testing.T) {
 
 func TestRandomDeterministicForSeed(t *testing.T) {
 	order := func(seed int64) []model.PageID {
-		p := MustNew(Random, seed)
+		p := mustNew(t, Random, seed)
 		for i := model.PageID(0); i < 20; i++ {
 			p.Insert(i)
 		}
@@ -227,29 +211,17 @@ func TestRandomDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestRandomRemove(t *testing.T) {
-	p := MustNew(Random, 1)
-	p.Insert(1)
-	p.Insert(2)
-	p.Insert(3)
-	p.Remove(2)
-	p.Remove(2) // second remove is a no-op
-	if p.Len() != 2 || p.Contains(2) {
-		t.Fatalf("remove failed: len=%d contains=%v", p.Len(), p.Contains(2))
-	}
-}
-
 // opSequence drives a policy with a random operation stream and checks the
 // universal invariants: Len matches a reference set, Contains agrees,
 // Evict returns a tracked page exactly once.
 func opSequence(t *testing.T, kind Kind, seed int64, ops []uint8) {
 	t.Helper()
-	p := MustNew(kind, seed)
+	p := mustNew(t, kind, seed)
 	ref := map[model.PageID]bool{}
 	rng := rand.New(rand.NewSource(seed))
 	for _, op := range ops {
 		page := model.PageID(rng.Intn(30))
-		switch op % 4 {
+		switch op % 3 {
 		case 0:
 			if !ref[page] {
 				p.Insert(page)
@@ -258,9 +230,6 @@ func opSequence(t *testing.T, kind Kind, seed int64, ops []uint8) {
 		case 1:
 			p.Touch(page)
 		case 2:
-			p.Remove(page)
-			delete(ref, page)
-		case 3:
 			got, ok := p.Evict()
 			if ok != (len(ref) > 0) {
 				t.Fatalf("%s: evict ok=%v with %d tracked", kind, ok, len(ref))
@@ -303,7 +272,7 @@ func TestPolicyPropertyInvariants(t *testing.T) {
 // the intrusive-list LRU and a simple slice-based reference LRU and
 // demands identical eviction decisions.
 func TestLRUMatchesReferenceModel(t *testing.T) {
-	p := MustNew(LRU, 0)
+	p := mustNew(t, LRU, 0)
 	var ref []model.PageID // front = LRU
 	refTouch := func(page model.PageID) {
 		for i, x := range ref {

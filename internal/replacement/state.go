@@ -5,31 +5,27 @@ import (
 	"hbmsim/internal/snap"
 )
 
-// Checkpoint support for the dense policies (the only ones production
-// simulations construct — see core.New). Each policy serialises its
-// residency set in a canonical order and restores by resetting to empty
-// and replaying inserts, which reproduces the internal linked structures
-// exactly:
+// Checkpoint support. Each policy serialises its residency set in a
+// canonical order and restores by resetting to empty and replaying
+// inserts, which reproduces the internal linked structures exactly:
 //
-//   - denseList saves head→tail; Insert appends at the tail, so replay
+//   - listPolicy saves head→tail; Insert appends at the tail, so replay
 //     in saved order rebuilds the identical recency list.
-//   - denseClock saves the sweep order starting at the hand with each
+//   - clockPolicy saves the sweep order starting at the hand with each
 //     page's reference bit; Insert places new pages just behind the
 //     hand, so replay rebuilds the identical ring with the hand on the
 //     first saved page.
-//   - denseRandom saves the pages slice in order (Evict swap-removes at
+//   - randomPolicy saves the pages slice in order (Evict swap-removes at
 //     a random index, so order is state) plus its rng position.
-//   - denseBelady saves the per-core serve counts, per-page occurrence
+//   - beladyPolicy saves the per-core serve counts, per-page occurrence
 //     cursors, and the resident slice; the CSR occurrence table is
 //     construction-time state rebuilt from the traces.
 //
 // Every decoded page is bounds-checked against the Reader's universe
 // limit and rejected on duplicates, so corrupt snapshots error cleanly.
-// The map-based policies from New intentionally have no checkpoint
-// support: they exist only for the uncompacted differential-test path.
 
 // SaveState implements snap.Saver.
-func (l *denseList) SaveState(w *snap.Writer) {
+func (l *listPolicy) SaveState(w *snap.Writer) {
 	w.Int(l.n)
 	for i := l.head; i != nilNode; i = l.next[i] {
 		w.U64(uint64(i))
@@ -37,7 +33,7 @@ func (l *denseList) SaveState(w *snap.Writer) {
 }
 
 // LoadState implements snap.Loader.
-func (l *denseList) LoadState(r *snap.Reader) {
+func (l *listPolicy) LoadState(r *snap.Reader) {
 	for i := range l.resident {
 		l.resident[i] = false
 	}
@@ -57,7 +53,7 @@ func (l *denseList) LoadState(r *snap.Reader) {
 }
 
 // SaveState implements snap.Saver.
-func (c *denseClock) SaveState(w *snap.Writer) {
+func (c *clockPolicy) SaveState(w *snap.Writer) {
 	w.Int(c.n)
 	i := c.hand
 	for range c.n {
@@ -68,7 +64,7 @@ func (c *denseClock) SaveState(w *snap.Writer) {
 }
 
 // LoadState implements snap.Loader.
-func (c *denseClock) LoadState(r *snap.Reader) {
+func (c *clockPolicy) LoadState(r *snap.Reader) {
 	for i := range c.resident {
 		c.resident[i] = false
 		c.ref[i] = false
@@ -91,7 +87,7 @@ func (c *denseClock) LoadState(r *snap.Reader) {
 }
 
 // SaveState implements snap.Saver.
-func (d *denseRandom) SaveState(w *snap.Writer) {
+func (d *randomPolicy) SaveState(w *snap.Writer) {
 	w.Int(len(d.pages))
 	for _, p := range d.pages {
 		w.U64(uint64(p))
@@ -100,7 +96,7 @@ func (d *denseRandom) SaveState(w *snap.Writer) {
 }
 
 // LoadState implements snap.Loader.
-func (d *denseRandom) LoadState(r *snap.Reader) {
+func (d *randomPolicy) LoadState(r *snap.Reader) {
 	for i := range d.index {
 		d.index[i] = -1
 	}
@@ -123,10 +119,10 @@ func (d *denseRandom) LoadState(r *snap.Reader) {
 
 // FinishLoad implements snap.Finisher (rng replay after checksum
 // verification).
-func (d *denseRandom) FinishLoad() error { return d.src.FinishLoad() }
+func (d *randomPolicy) FinishLoad() error { return d.src.FinishLoad() }
 
 // SaveState implements snap.Saver.
-func (b *denseBelady) SaveState(w *snap.Writer) {
+func (b *beladyPolicy) SaveState(w *snap.Writer) {
 	w.Int(len(b.pos))
 	for _, v := range b.pos {
 		w.U64(uint64(v))
@@ -143,7 +139,7 @@ func (b *denseBelady) SaveState(w *snap.Writer) {
 }
 
 // LoadState implements snap.Loader.
-func (b *denseBelady) LoadState(r *snap.Reader) {
+func (b *beladyPolicy) LoadState(r *snap.Reader) {
 	if got := r.Len(len(b.pos), "belady cores"); got != len(b.pos) && r.Err() == nil {
 		r.Failf("snap: belady core count %d, want %d", got, len(b.pos))
 	}

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -12,6 +14,11 @@ import (
 // The queue drains at job granularity, so "soon" is the honest answer;
 // clients should treat it as a backoff floor, not a promise.
 const retryAfterSeconds = 1
+
+// maxSpecBytes caps a POST /jobs body. A job spec is a few hundred bytes
+// of JSON; the cap keeps a hostile or broken client from making the
+// service buffer an unbounded body.
+const maxSpecBytes = 1 << 20
 
 // Handler returns the job API:
 //
@@ -22,8 +29,8 @@ const retryAfterSeconds = 1
 //	GET    /jobs/{id}/events live SSE progress stream
 //
 // Error mapping: invalid specs are 400, unknown IDs 404, cancelling a
-// finished job 409, a full admission queue 429 with Retry-After, and a
-// draining service 503.
+// finished job 409, a spec body over maxSpecBytes 413, a full admission
+// queue 429 with Retry-After, and a draining service 503.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -47,8 +54,18 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit))
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading job spec: %w", err))
+		return
+	}
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))

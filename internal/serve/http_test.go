@@ -164,6 +164,48 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSpec413 posts a valid spec padded past maxSpecBytes:
+// it must be refused with 413 and a reason before anything is journaled,
+// and a normal submission afterwards must still be admitted as job 1.
+func TestHTTPOversizedSpec413(t *testing.T) {
+	s := openTestService(t, t.TempDir(), nil)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec, err := json.Marshal(testSimSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(spec, bytes.Repeat([]byte(" "), maxSpecBytes+1-len(spec))...)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status %d, want 413", resp.StatusCode)
+	}
+	if !strings.Contains(e["error"], "exceeds") {
+		t.Errorf("413 reason %q should name the limit", e["error"])
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("oversized spec admitted %d jobs", n)
+	}
+
+	resp = postJob(t, ts.URL, testSimSpec())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal submit after 413: status %d, want 202", resp.StatusCode)
+	}
+	if v := decodeView(t, resp); v.ID != 1 {
+		t.Fatalf("job id %d, want 1: the refused body must not have been journaled", v.ID)
+	}
+}
+
 func TestHTTPCancel(t *testing.T) {
 	block := make(chan struct{})
 	s := openTestService(t, t.TempDir(), func(o *Options) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hbmsim/internal/directmap"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/trace"
@@ -29,11 +30,16 @@ func TestDistancesEmpty(t *testing.T) {
 	}
 }
 
-// lruMisses simulates a real LRU cache of size k.
+// lruMisses simulates a real LRU cache of size k, with the production
+// policy over the trace compacted to dense page IDs.
 func lruMisses(tr trace.Trace, k int) uint64 {
-	pol := replacement.MustNew(replacement.LRU, 0)
+	dense, universe := directmap.Compact(tr)
+	pol, err := replacement.New(replacement.LRU, universe, 0)
+	if err != nil {
+		panic(err)
+	}
 	var misses uint64
-	for _, p := range tr {
+	for _, p := range dense {
 		if pol.Contains(p) {
 			pol.Touch(p)
 			continue
