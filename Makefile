@@ -44,7 +44,7 @@ COVER_OUT ?= coverage.out
 COVER_FLOOR ?= 70
 COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/replacement hbmsim/internal/hbm hbmsim/internal/snap hbmsim/internal/detrand
 
-.PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
+.PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff perfbench cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
 
 all: build vet test test-race
 
@@ -99,6 +99,14 @@ bench-json:
 # BENCH_THRESHOLD / BENCH_ALLOC_THRESHOLD comment above).
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD) $(BENCH_BASE) $(BENCH_OUT)
+
+# End-to-end speed reference (perfbench/README.md): one untraced run of
+# each workload at seed 1 over BENCHMARK.json's 40 s window, about two
+# minutes in all. Deliberately not part of `check`.
+perfbench:
+	for w in figures serve-mixed; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 40 --trace 0 || exit 1; \
+	done
 
 # Coverage gate: one instrumented test run producing $(COVER_OUT), then
 # per-package floors on the packages the optimality-telemetry argument

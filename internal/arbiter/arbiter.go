@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"hbmsim/internal/model"
+	"hbmsim/internal/snap"
 )
 
 // Kind names an arbitration policy.
@@ -54,6 +55,10 @@ type Arbiter interface {
 	// changed. pri[c] is the priority rank of core c: rank 0 is served
 	// first. FIFO and Random ignore it.
 	UpdatePriorities(pri []int32)
+	// SaveState and LoadState checkpoint the queue (see state.go); an
+	// arbiter with deferred restore work also implements snap.Finisher.
+	snap.Saver
+	snap.Loader
 }
 
 // New constructs an arbiter of the given kind for p cores. The seed is used
@@ -73,13 +78,4 @@ func New(kind Kind, p int, seed int64) (Arbiter, error) {
 	default:
 		return nil, fmt.Errorf("arbiter: unknown policy kind %q", kind)
 	}
-}
-
-// MustNew is New but panics on error.
-func MustNew(kind Kind, p int, seed int64) Arbiter {
-	a, err := New(kind, p, seed)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }

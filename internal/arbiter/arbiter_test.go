@@ -6,6 +6,26 @@ import (
 	"hbmsim/internal/model"
 )
 
+// newArbiter is New for tests: a construction error fails the test.
+func newArbiter(tb testing.TB, kind Kind, p int, seed int64) Arbiter {
+	tb.Helper()
+	a, err := New(kind, p, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// newPermuter is NewPermuter for tests.
+func newPermuter(tb testing.TB, kind PermuterKind, seed int64) Permuter {
+	tb.Helper()
+	p, err := NewPermuter(kind, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func req(core model.CoreID, seq uint64) model.Request {
 	return model.Request{Core: core, Page: model.PageID(1000 + seq), Seq: seq}
 }
@@ -17,15 +37,6 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New("bogus", 4, 0); err == nil {
 		t.Fatal("unknown kind should be rejected")
 	}
-}
-
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew with bad kind should panic")
-		}
-	}()
-	MustNew("bogus", 4, 0)
 }
 
 func TestKindsConstructAll(t *testing.T) {
@@ -44,7 +55,7 @@ func TestKindsConstructAll(t *testing.T) {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	a := MustNew(FIFO, 4, 0)
+	a := newArbiter(t, FIFO, 4, 0)
 	for seq := uint64(1); seq <= 5; seq++ {
 		a.Push(req(model.CoreID(seq%4), seq))
 	}
@@ -60,7 +71,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOGrowWraparound(t *testing.T) {
-	a := MustNew(FIFO, 4, 0)
+	a := newArbiter(t, FIFO, 4, 0)
 	// Interleave pushes and pops so head wraps, then force growth.
 	seq := uint64(0)
 	for i := 0; i < 10; i++ {
@@ -88,7 +99,7 @@ func TestFIFOGrowWraparound(t *testing.T) {
 }
 
 func TestPriorityIdentityOrder(t *testing.T) {
-	a := MustNew(Priority, 8, 0)
+	a := newArbiter(t, Priority, 8, 0)
 	// Push in reverse core order; pops must follow core rank.
 	for c := 7; c >= 0; c-- {
 		a.Push(req(model.CoreID(c), uint64(10-c)))
@@ -104,7 +115,7 @@ func TestPriorityIdentityOrder(t *testing.T) {
 func TestPriorityTieBreakBySeq(t *testing.T) {
 	// Two requests from the same core cannot coexist, but two cores can
 	// share a rank after a custom UpdatePriorities; seq must break ties.
-	a := MustNew(Priority, 2, 0)
+	a := newArbiter(t, Priority, 2, 0)
 	a.UpdatePriorities([]int32{0, 0})
 	a.Push(req(1, 1))
 	a.Push(req(0, 2))
@@ -115,7 +126,7 @@ func TestPriorityTieBreakBySeq(t *testing.T) {
 }
 
 func TestPriorityUpdateReheaps(t *testing.T) {
-	a := MustNew(Priority, 4, 0)
+	a := newArbiter(t, Priority, 4, 0)
 	for c := 0; c < 4; c++ {
 		a.Push(req(model.CoreID(c), uint64(c+1)))
 	}
@@ -130,7 +141,7 @@ func TestPriorityUpdateReheaps(t *testing.T) {
 }
 
 func TestPriorityInterleavedPushPop(t *testing.T) {
-	a := MustNew(Priority, 8, 0)
+	a := newArbiter(t, Priority, 8, 0)
 	a.Push(req(5, 1))
 	a.Push(req(2, 2))
 	if r, _ := a.Pop(); r.Core != 2 {
@@ -150,7 +161,7 @@ func TestPriorityInterleavedPushPop(t *testing.T) {
 }
 
 func TestRandomPopsEachExactlyOnce(t *testing.T) {
-	a := MustNew(Random, 16, 9)
+	a := newArbiter(t, Random, 16, 9)
 	for c := 0; c < 16; c++ {
 		a.Push(req(model.CoreID(c), uint64(c+1)))
 	}
@@ -172,7 +183,7 @@ func TestRandomPopsEachExactlyOnce(t *testing.T) {
 
 func TestRandomSeedDeterminism(t *testing.T) {
 	run := func(seed int64) []model.CoreID {
-		a := MustNew(Random, 8, seed)
+		a := newArbiter(t, Random, 8, seed)
 		for c := 0; c < 8; c++ {
 			a.Push(req(model.CoreID(c), uint64(c+1)))
 		}

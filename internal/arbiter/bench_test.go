@@ -11,7 +11,7 @@ import (
 func benchArbiter(b *testing.B, kind Kind) {
 	b.Helper()
 	const p = 256
-	a := MustNew(kind, p, 1)
+	a := newArbiter(b, kind, p, 1)
 	for c := 0; c < p; c++ {
 		a.Push(model.Request{Core: model.CoreID(c), Seq: uint64(c)})
 	}
@@ -56,11 +56,11 @@ func BenchmarkFIFOGrow(b *testing.B) {
 
 func BenchmarkPriorityRemap(b *testing.B) {
 	const p = 256
-	a := MustNew(Priority, p, 1)
+	a := newArbiter(b, Priority, p, 1)
 	for c := 0; c < p; c++ {
 		a.Push(model.Request{Core: model.CoreID(c), Seq: uint64(c)})
 	}
-	perm := MustNewPermuter(Dynamic, 2)
+	perm := newPermuter(b, Dynamic, 2)
 	pri := make([]int32, p)
 	for i := range pri {
 		pri[i] = int32(i)

@@ -40,7 +40,7 @@ func TestPriorityHeapMatchesNaive(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		const p = 12
 		rng := rand.New(rand.NewSource(seed))
-		heap := MustNew(Priority, p, 0)
+		heap := newArbiter(t, Priority, p, 0)
 		naive := &naivePriority{pri: make([]int32, p)}
 		pri := make([]int32, p)
 		for i := range pri {

@@ -58,15 +58,6 @@ func NewPermuter(kind PermuterKind, seed int64) (Permuter, error) {
 	}
 }
 
-// MustNewPermuter is NewPermuter but panics on error.
-func MustNewPermuter(kind PermuterKind, seed int64) Permuter {
-	p, err := NewPermuter(kind, seed)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type staticPermuter struct{}
 
 func (staticPermuter) Kind() PermuterKind { return Static }

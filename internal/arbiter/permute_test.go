@@ -30,15 +30,6 @@ func TestNewPermuterErrors(t *testing.T) {
 	}
 }
 
-func TestMustNewPermuterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustNewPermuter("bogus", 0)
-}
-
 func TestPermuterKindsConstructAll(t *testing.T) {
 	for _, k := range PermuterKinds() {
 		p, err := NewPermuter(k, 1)
@@ -52,7 +43,7 @@ func TestPermuterKindsConstructAll(t *testing.T) {
 }
 
 func TestStaticLeavesIdentity(t *testing.T) {
-	p := MustNewPermuter(Static, 0)
+	p := newPermuter(t, Static, 0)
 	pri := identity(8)
 	p.Permute(pri)
 	for i, r := range pri {
@@ -63,7 +54,7 @@ func TestStaticLeavesIdentity(t *testing.T) {
 }
 
 func TestCycleRotates(t *testing.T) {
-	p := MustNewPermuter(Cycle, 0)
+	p := newPermuter(t, Cycle, 0)
 	pri := identity(4)
 	p.Permute(pri)
 	want := []int32{1, 2, 3, 0}
@@ -84,8 +75,8 @@ func TestCycleRotates(t *testing.T) {
 }
 
 func TestCycleReverseUndoesCycle(t *testing.T) {
-	f := MustNewPermuter(Cycle, 0)
-	b := MustNewPermuter(CycleReverse, 0)
+	f := newPermuter(t, Cycle, 0)
+	b := newPermuter(t, CycleReverse, 0)
 	pri := identity(7)
 	f.Permute(pri)
 	b.Permute(pri)
@@ -101,7 +92,7 @@ func TestCycleEveryRankOnTop(t *testing.T) {
 	// the paper's bound on response time (a thread becomes highest
 	// priority within p permutations).
 	const p = 6
-	perm := MustNewPermuter(Cycle, 0)
+	perm := newPermuter(t, Cycle, 0)
 	pri := identity(p)
 	onTop := map[int]bool{}
 	for step := 0; step < p; step++ {
@@ -118,7 +109,7 @@ func TestCycleEveryRankOnTop(t *testing.T) {
 }
 
 func TestInterleaveSmall(t *testing.T) {
-	p := MustNewPermuter(Interleave, 0)
+	p := newPermuter(t, Interleave, 0)
 	pri := identity(6) // half = 3: 0,1,2 -> 0,2,4; 3,4,5 -> 1,3,5
 	p.Permute(pri)
 	want := []int32{0, 2, 4, 1, 3, 5}
@@ -130,7 +121,7 @@ func TestInterleaveSmall(t *testing.T) {
 }
 
 func TestInterleaveOdd(t *testing.T) {
-	p := MustNewPermuter(Interleave, 0)
+	p := newPermuter(t, Interleave, 0)
 	pri := identity(5) // half = 3: 0,1,2 -> 0,2,4; 3,4 -> 1,3
 	p.Permute(pri)
 	want := []int32{0, 2, 4, 1, 3}
@@ -143,7 +134,7 @@ func TestInterleaveOdd(t *testing.T) {
 
 func TestDynamicSeedDeterminism(t *testing.T) {
 	run := func(seed int64) []int32 {
-		p := MustNewPermuter(Dynamic, seed)
+		p := newPermuter(t, Dynamic, seed)
 		pri := identity(16)
 		p.Permute(pri)
 		p.Permute(pri)
@@ -169,8 +160,8 @@ func TestDynamicSeedDeterminism(t *testing.T) {
 
 func TestDynamicIndependentOfCurrent(t *testing.T) {
 	// Dynamic draws a fresh permutation regardless of the incoming one.
-	p1 := MustNewPermuter(Dynamic, 5)
-	p2 := MustNewPermuter(Dynamic, 5)
+	p1 := newPermuter(t, Dynamic, 5)
+	p2 := newPermuter(t, Dynamic, 5)
 	a := identity(8)
 	b := []int32{7, 6, 5, 4, 3, 2, 1, 0}
 	p1.Permute(a)
@@ -190,7 +181,7 @@ func TestPermutersPropertyAlwaysPermutation(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(sizeRaw uint8, steps uint8, seed int64) bool {
 				size := int(sizeRaw%64) + 1
-				p := MustNewPermuter(kind, seed)
+				p := newPermuter(t, kind, seed)
 				pri := identity(size)
 				for s := 0; s < int(steps%8)+1; s++ {
 					p.Permute(pri)
@@ -209,7 +200,7 @@ func TestPermutersPropertyAlwaysPermutation(t *testing.T) {
 
 func TestPermuteEmpty(t *testing.T) {
 	for _, kind := range PermuterKinds() {
-		p := MustNewPermuter(kind, 0)
+		p := newPermuter(t, kind, 0)
 		p.Permute(nil) // must not panic
 	}
 }

@@ -188,11 +188,6 @@ func (s *Sim) fingerprint() uint64 {
 // attached Observer is not part of the state; re-attach one after
 // Resume.
 func (s *Sim) Checkpoint(wr io.Writer) error {
-	arbSaver, ok := s.arb.(snap.Saver)
-	if !ok {
-		return fmt.Errorf("core: arbiter %T does not support checkpointing", s.arb)
-	}
-
 	w := snap.NewWriter(wr)
 	w.Raw(snapMagic[:])
 	w.U64(FormatVersion)
@@ -245,7 +240,7 @@ func (s *Sim) Checkpoint(wr io.Writer) error {
 	s.store.SaveState(w)
 
 	w.Tag(tagArbiter)
-	arbSaver.SaveState(w)
+	s.arb.SaveState(w)
 
 	w.Tag(tagPermuter)
 	permSaver, hasPermState := s.perm.(snap.Saver)
@@ -306,6 +301,11 @@ func Resume(rd io.Reader, cfg Config, traces [][]model.PageID) (*Sim, error) {
 			}
 		}
 	}
+	// The kernel's residency mirror is derived state: rebuild it from the
+	// restored store.
+	for pg := range s.res {
+		s.res[pg] = s.store.Contains(model.PageID(pg))
+	}
 	return s, nil
 }
 
@@ -354,6 +354,9 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 			s.doneN++
 		} else if s.pos[i] >= len(s.traces[i]) && len(s.traces[i]) > 0 {
 			return fmt.Errorf("core: snapshot cursor %d at end of trace but core %d not done", s.pos[i], i)
+		}
+		if s.pos[i] < len(s.traces[i]) {
+			s.cur[i] = s.traces[i][s.pos[i]]
 		}
 	}
 
@@ -406,11 +409,7 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 	s.store.LoadState(r)
 
 	r.Tag(tagArbiter, "arbiter queue")
-	arb, ok := s.arb.(snap.Loader)
-	if !ok {
-		return fmt.Errorf("core: arbiter %T does not support checkpointing", s.arb)
-	}
-	arb.LoadState(r)
+	s.arb.LoadState(r)
 
 	r.Tag(tagPermuter, "permuter")
 	if hasPermState := r.Bool(); r.Err() == nil && hasPermState {

@@ -38,6 +38,11 @@ type Sim struct {
 	// pos is the trace cursor: traces[i][pos[i]] is core i's current
 	// reference.
 	pos []int
+	// cur is the current-page register: cur[i] == traces[i][pos[i]] for
+	// every core that is not done. It is written only where a cursor
+	// moves (New, serve, the fastForward fold, loadState), so the tick
+	// loop reads one flat slice instead of chasing the trace pointer.
+	cur []model.PageID
 	// reqTick is the tick on which the current reference was first
 	// requested; response time is serveTick - reqTick + 1.
 	reqTick []model.Tick
@@ -81,6 +86,12 @@ type Sim struct {
 	origOf []model.PageID
 	// universe is the dense page-ID universe size U from compaction.
 	universe int
+	// res mirrors the store's residency, indexed by dense page: the
+	// kernel sees every residency change (step-3 victims, step-5
+	// landings, direct-mapped displacements), so the tick path decides
+	// each hit from this slice and never asks the store. Derived state:
+	// not serialized, rebuilt from the store by Resume.
+	res []bool
 
 	// Fast-forward state (see Step). noFF disables the batched path: set
 	// by differential tests that pin the batched stepper against the
@@ -93,8 +104,11 @@ type Sim struct {
 	// boundary is the caller's observation cadence (SetBoundary): Step
 	// never fast-forwards across a multiple of it.
 	boundary model.Tick
-	// ownerOf maps each dense page to the one core that references it
-	// (the model's sequences are disjoint, Property 1).
+	// ownerOf maps a dense page to the core whose scan last stamped it
+	// (hitRun writes it beside pageGen). The model's sequences are
+	// disjoint (Property 1), so that is the page's only owner; unstamped
+	// pages keep pageGen 0, which never matches a live scanGen, so their
+	// ownerOf entry is never consulted.
 	ownerOf []int32
 	// Next-miss scan cache, per core: refs [pos[i], scanTo[i]) are
 	// verified resident (scanTo[i] < pos[i] marks the cache invalid), and
@@ -210,7 +224,7 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 	// construction stays a handful of allocations even with the
 	// fast-forward scan caches.
 	intBuf := make([]int, 2*p)
-	boolBuf := make([]bool, 2*p)
+	boolBuf := make([]bool, 2*p+u)
 	i32Buf := make([]int32, p+u)
 	s := &Sim{
 		cfg:        cfg,
@@ -221,9 +235,11 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 		traces:     traces,
 		pos:        intBuf[:p:p],
 		scanTo:     intBuf[p:],
+		cur:        make([]model.PageID, p),
 		reqTick:    make([]model.Tick, p),
 		queued:     boolBuf[:p:p],
-		scanMiss:   boolBuf[p:],
+		scanMiss:   boolBuf[p : 2*p : 2*p],
+		res:        boolBuf[2*p:],
 		pri:        i32Buf[:p:p],
 		origOf:     origOf,
 		universe:   universe,
@@ -248,6 +264,7 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 			s.doneN++
 		} else {
 			s.reqTick[i] = 1
+			s.cur[i] = tr[0]
 			s.active = append(s.active, model.CoreID(i))
 		}
 		total += uint64(len(tr))
@@ -272,11 +289,6 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 		}
 	}
 	s.ownerOf = i32Buf[p:]
-	for ci, tr := range traces {
-		for _, pg := range tr {
-			s.ownerOf[pg] = int32(ci)
-		}
-	}
 	u64Buf := make([]uint64, u+p)
 	s.pageGen = u64Buf[:u:u]
 	s.scanGen = u64Buf[u:]
@@ -394,8 +406,8 @@ func (s *Sim) Step() bool {
 	// Step), so no per-tick sort is needed here.
 	s.candidates = s.candidates[:0]
 	for _, ci := range s.active {
-		page := s.traces[ci][s.pos[ci]]
-		if s.store.Contains(page) {
+		page := s.cur[ci]
+		if s.res[page] {
 			s.candidates = append(s.candidates, ci)
 		} else {
 			s.seq++
@@ -419,6 +431,7 @@ func (s *Sim) Step() bool {
 		evictedAny = true
 		s.evictions += uint64(len(evicted))
 		for _, pg := range evicted {
+			s.res[pg] = false
 			s.invalidateScan(pg)
 			if s.obs != nil {
 				s.obs.OnEvict(s.orig(pg), t)
@@ -433,26 +446,22 @@ func (s *Sim) Step() bool {
 	// only leave the store through EnsureRoom between steps 2 and 4
 	// (direct-mapped displacement happens at step-5 inserts), so when
 	// step 3 evicted nothing every candidate is still resident and the
-	// per-candidate re-check is skipped.
+	// per-candidate re-check is skipped. Touch is skipped where it is a
+	// no-op (touchNop), as fastForward does.
 	s.nextActive = s.nextActive[:0]
-	if evictedAny {
-		for _, ci := range s.candidates {
-			page := s.traces[ci][s.pos[ci]]
-			if !s.store.Contains(page) {
-				// Evicted between steps 2 and 4; the core re-requests on
-				// the next tick (as in the reference loop, where step 2 of
-				// the next tick re-queues it). Response time keeps accruing.
-				s.nextActive = append(s.nextActive, ci)
-				continue
-			}
+	for _, ci := range s.candidates {
+		page := s.cur[ci]
+		if evictedAny && !s.res[page] {
+			// Evicted between steps 2 and 4; the core re-requests on the
+			// next tick (as in the reference loop, where step 2 of the
+			// next tick re-queues it). Response time keeps accruing.
+			s.nextActive = append(s.nextActive, ci)
+			continue
+		}
+		if !s.touchNop {
 			s.store.Touch(page)
-			s.serve(ci, t)
 		}
-	} else {
-		for _, ci := range s.candidates {
-			s.store.Touch(s.traces[ci][s.pos[ci]])
-			s.serve(ci, t)
-		}
+		s.serve(ci, t)
 	}
 
 	// Step 5: grant queued requests a far channel — as many as the
@@ -481,6 +490,7 @@ func (s *Sim) Step() bool {
 			// unreachable unless an invariant is broken.
 			panic(fmt.Sprintf("core: fetch failed at tick %d: %v", t, err))
 		} else if displaced {
+			s.res[victim] = false
 			s.evictions++
 			s.invalidateScan(victim)
 			if s.obs != nil {
@@ -490,6 +500,7 @@ func (s *Sim) Step() bool {
 				s.wbSink.Writeback(t, victim, 0)
 			}
 		}
+		s.res[a.Page] = true
 		s.fetches++
 		if s.obs != nil {
 			s.obs.OnFetch(a.Core, s.orig(a.Page), t)
@@ -628,11 +639,12 @@ func (s *Sim) hitRun(ci model.CoreID, lim int) int {
 			gen := s.scanGen[ci]
 			for to < end {
 				pg := tr[to]
-				if !s.store.Contains(pg) {
+				if !s.res[pg] {
 					s.scanMiss[ci] = true
 					break
 				}
 				s.pageGen[pg] = gen
+				s.ownerOf[pg] = int32(ci)
 				to++
 			}
 		}
@@ -769,6 +781,7 @@ func (s *Sim) fastForward(n model.Tick) {
 			}
 		} else {
 			s.reqTick[ci] = tEnd + 1
+			s.cur[ci] = s.traces[ci][s.pos[ci]]
 		}
 	}
 	if finished {
@@ -807,7 +820,7 @@ func (s *Sim) serve(ci model.CoreID, t model.Tick) {
 	w := float64(t-s.reqTick[ci]) + 1
 	c.resp.record(w)
 	if s.obs != nil {
-		s.obs.OnServe(ci, s.orig(s.traces[ci][s.pos[ci]]), t, t-s.reqTick[ci]+1)
+		s.obs.OnServe(ci, s.orig(s.cur[ci]), t, t-s.reqTick[ci]+1)
 	}
 	if gap := t - c.lastServe; gap > c.maxGap {
 		c.maxGap = gap
@@ -823,6 +836,7 @@ func (s *Sim) serve(ci model.CoreID, t model.Tick) {
 		s.doneN++
 	} else {
 		s.reqTick[ci] = t + 1
+		s.cur[ci] = s.traces[ci][s.pos[ci]]
 		s.nextActive = append(s.nextActive, ci)
 	}
 	if t > s.makespan {
